@@ -1,11 +1,10 @@
 // Package repro's root bench suite regenerates every table and figure of
-// the paper's evaluation, one benchmark per artifact (DESIGN.md §4). Run:
+// the paper's evaluation, one benchmark per artifact. Run:
 //
 //	go test -bench=. -benchmem
 //
 // Custom metrics attach the headline number of each artifact (makespans in
-// minutes, accuracies, speedups) to the benchmark output so the paper-vs-
-// measured comparison in EXPERIMENTS.md can be refreshed from one run.
+// minutes, accuracies, speedups) to the benchmark output.
 package repro
 
 import (

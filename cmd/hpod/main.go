@@ -9,7 +9,7 @@
 // Usage:
 //
 //	hpod -addr :8080 -journal hpod.journal [-backend local] [-parallel 8]
-//	     [-workers 3] [-max-studies 2] [-drain 30s] [-migrate study.json]
+//	     [-workers 3] [-max-studies 2] [-drain 30s]
 //	     [-token secret] [-tenants tenants.json] [-queue-depth 16]
 //	     [-retry-after 1s] [-pruner median] [-scheduler hyperband]
 //	     [-rung-mode async]
@@ -26,8 +26,7 @@
 // studies are compacted down to their summary records on -compact-interval
 // (or on demand via POST /v1/admin/compact), so boot replay stays fast no
 // matter how much per-epoch telemetry history the daemon has served. A
-// pre-shard single-file journal passed as -journal is migrated in place on
-// boot.
+// pre-shard single-file journal passed as -journal is refused at boot.
 //
 // The daemon is observable without auth on two endpoints: GET /healthz
 // (liveness + journal stats) and GET /metrics (Prometheus text exposition
@@ -68,7 +67,6 @@ type options struct {
 	workers         int
 	maxStudies      int
 	drain           time.Duration
-	migrate         string
 	noResume        bool
 	token           string
 	tenants         string
@@ -92,7 +90,6 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 2, "TCP workers per study for -backend remote")
 	flag.IntVar(&o.maxStudies, "max-studies", 2, "studies executing concurrently")
 	flag.DurationVar(&o.drain, "drain", 30*time.Second, "max wait for running studies on shutdown")
-	flag.StringVar(&o.migrate, "migrate", "", "import a legacy -checkpoint JSON file into the journal, then continue")
 	flag.BoolVar(&o.noResume, "no-resume", false, "do not re-queue studies left running by a previous daemon")
 	flag.StringVar(&o.token, "token", "", "bearer token required on every endpoint except /healthz (empty = no auth)")
 	flag.StringVar(&o.tenants, "tenants", "",
@@ -184,14 +181,6 @@ func newDaemon(o options) (*daemon, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if o.migrate != "" {
-		n, err := store.MigrateCheckpoint(journal, "migrated", o.migrate)
-		if err != nil {
-			journal.Close()
-			return nil, err
-		}
-		fmt.Printf("hpod: migrated %d trials from %s\n", n, o.migrate)
 	}
 	srv := server.New(journal, runtimeFactory(o), o.maxStudies)
 	srv.SetAuthToken(o.token)

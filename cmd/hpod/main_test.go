@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -363,30 +362,6 @@ func trialAccs(t *testing.T, base, id string) map[int]float64 {
 		accs[int(tr["id"].(float64))] = tr["final_acc"].(float64)
 	}
 	return accs
-}
-
-// TestDaemonMigrateFlag imports a legacy checkpoint on boot.
-func TestDaemonMigrateFlag(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "study.json")
-	legacy := `{"version":1,"trials":[{"id":0,"config":{"num_epochs":3},"final_acc":0.6,"best_acc":0.6,"final_loss":0.4,"epochs":3,"duration_ns":5}]}`
-	if err := os.WriteFile(ckpt, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	o := testOptions(filepath.Join(dir, "hpod.journal"))
-	o.migrate = ckpt
-	d, err := newDaemon(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Stop()
-	base := "http://" + d.Addr()
-	if n := trialCount(t, base, "migrated"); n != 1 {
-		t.Fatalf("migrated trials = %d", n)
-	}
 }
 
 // TestDaemonValidatesRungModeAtBoot: a mistyped -rung-mode (like -pruner

@@ -82,9 +82,6 @@ func TestEngineOrdering(t *testing.T) {
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
-	if e.Executed() != 3 {
-		t.Fatalf("executed = %d", e.Executed())
-	}
 }
 
 func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
@@ -134,25 +131,6 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	NewEngine().After(-time.Second, func() {})
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.After(time.Duration(i)*time.Second, func() { count++ })
-	}
-	ok := e.RunUntil(func() bool { return count >= 4 })
-	if !ok || count != 4 {
-		t.Fatalf("RunUntil stopped at count=%d ok=%v", count, ok)
-	}
-	if e.Pending() != 6 {
-		t.Fatalf("pending = %d", e.Pending())
-	}
-	// Exhausting the queue without satisfying done returns false.
-	if e.RunUntil(func() bool { return false }) {
-		t.Fatal("RunUntil should report unsatisfied done")
-	}
 }
 
 func TestEngineStepEmpty(t *testing.T) {

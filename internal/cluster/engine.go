@@ -14,8 +14,6 @@ type Engine struct {
 	now    time.Duration
 	pq     eventHeap
 	nextID int64
-	// executed counts delivered events, for diagnostics.
-	executed int64
 }
 
 // NewEngine returns an engine at virtual time zero.
@@ -23,9 +21,6 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Executed returns the number of events delivered so far.
-func (e *Engine) Executed() int64 { return e.executed }
 
 // Pending returns the number of scheduled, not-yet-delivered events.
 func (e *Engine) Pending() int { return len(e.pq) }
@@ -55,7 +50,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.pq).(*event)
 	e.now = ev.at
-	e.executed++
 	ev.fn()
 	return true
 }
@@ -65,17 +59,6 @@ func (e *Engine) Run() time.Duration {
 	for e.Step() {
 	}
 	return e.now
-}
-
-// RunUntil delivers events until done() reports true or no events remain.
-// It returns true if done() was satisfied.
-func (e *Engine) RunUntil(done func() bool) bool {
-	for !done() {
-		if !e.Step() {
-			return done()
-		}
-	}
-	return true
 }
 
 // event is a scheduled callback; seq breaks ties so same-time events fire in

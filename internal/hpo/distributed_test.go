@@ -1,7 +1,7 @@
 package hpo
 
 import (
-	"os"
+	"errors"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -167,9 +167,25 @@ func TestStudyVisualisePipeline(t *testing.T) {
 	}
 }
 
+// withStudyRecorder opens the journal at dir, as a fresh process would,
+// and hands fn a recorder for study "s", creating the study on first use.
+func withStudyRecorder(t *testing.T, dir string, fn func(j *store.Journal, rec store.Recorder)) {
+	t.Helper()
+	j, err := store.OpenJournal(dir, store.JournalOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if _, err := j.GetStudy("s"); err != nil {
+		if err := j.CreateStudy(store.StudyMeta{ID: "s"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fn(j, j.Recorder("s", ""))
+}
+
 func TestStudyCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "study.json")
+	dir := filepath.Join(t.TempDir(), "j")
 	space := tinySpace(t)
 
 	var calls atomic.Int32
@@ -181,30 +197,31 @@ func TestStudyCheckpointResume(t *testing.T) {
 			return TrialMetrics{BestAcc: acc, FinalAcc: acc, Epochs: 2, ValAccHistory: []float64{acc / 2, acc}}, nil
 		},
 	}
-	runStudy := func() *StudyResult {
-		rt := newStudyRuntime(t, 2)
-		defer rt.Shutdown()
-		st, err := NewStudy(StudyOptions{
-			Sampler: NewGridSearch(space), Objective: obj, Runtime: rt,
-			Constraint:     runtime.Constraint{Cores: 1},
-			CheckpointPath: ckpt,
+	runStudy := func() (res *StudyResult) {
+		withStudyRecorder(t, dir, func(j *store.Journal, rec store.Recorder) {
+			rt := newStudyRuntime(t, 2)
+			defer rt.Shutdown()
+			st, err := NewStudy(StudyOptions{
+				Sampler: NewGridSearch(space), Objective: obj, Runtime: rt,
+				Constraint: runtime.Constraint{Cores: 1},
+				Recorder:   rec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err = st.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if trials, err := j.StudyTrials("s"); err != nil || len(trials) != 4 {
+				t.Fatalf("journal holds %d trials (%v)", len(trials), err)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := st.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
 		return res
 	}
 
 	first := runStudy()
 	if first.Resumed != 0 || calls.Load() != 4 {
 		t.Fatalf("first run: resumed=%d calls=%d", first.Resumed, calls.Load())
-	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("checkpoint not written: %v", err)
 	}
 
 	second := runStudy()
@@ -217,7 +234,7 @@ func TestStudyCheckpointResume(t *testing.T) {
 	if len(second.Trials) != 4 || second.Best == nil {
 		t.Fatalf("resumed result incomplete: %d trials", len(second.Trials))
 	}
-	// Accuracy curves survive the JSON round trip.
+	// Accuracy curves survive the journal round trip.
 	for _, tr := range second.Trials {
 		if len(tr.ValAccHistory) != 2 {
 			t.Fatalf("trial %d history = %v", tr.ID, tr.ValAccHistory)
@@ -226,8 +243,7 @@ func TestStudyCheckpointResume(t *testing.T) {
 }
 
 func TestCheckpointSkipsFailures(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "study.json")
+	dir := filepath.Join(t.TempDir(), "j")
 	space := tinySpace(t)
 
 	var attempt atomic.Int32
@@ -241,17 +257,19 @@ func TestCheckpointSkipsFailures(t *testing.T) {
 			return TrialMetrics{BestAcc: 0.8, FinalAcc: 0.8, Epochs: 1, ValAccHistory: []float64{0.8}}, nil
 		},
 	}
-	runStudy := func() *StudyResult {
-		rt := newStudyRuntime(t, 1)
-		defer rt.Shutdown()
-		st, _ := NewStudy(StudyOptions{
-			Sampler: NewGridSearch(space), Objective: obj, Runtime: rt,
-			Constraint: runtime.Constraint{Cores: 1}, CheckpointPath: ckpt,
+	runStudy := func() (res *StudyResult) {
+		withStudyRecorder(t, dir, func(_ *store.Journal, rec store.Recorder) {
+			rt := newStudyRuntime(t, 1)
+			defer rt.Shutdown()
+			st, _ := NewStudy(StudyOptions{
+				Sampler: NewGridSearch(space), Objective: obj, Runtime: rt,
+				Constraint: runtime.Constraint{Cores: 1}, Recorder: rec,
+			})
+			var err error
+			if res, err = st.Run(); err != nil {
+				t.Fatal(err)
+			}
 		})
-		res, err := st.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
 		return res
 	}
 	first := runStudy()
@@ -276,28 +294,29 @@ func TestCheckpointSkipsFailures(t *testing.T) {
 	}
 }
 
-func TestCheckpointRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "study.json")
-	if err := os.WriteFile(ckpt, []byte("not json"), 0o644); err != nil {
+// TestStudyRunFailsOnRecorderLoadError: a recorder that cannot restore the
+// study's trials fails Run before any trial executes.
+func TestStudyRunFailsOnRecorderLoadError(t *testing.T) {
+	j, err := store.OpenJournal(filepath.Join(t.TempDir(), "j"), store.JournalOptions{NoSync: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer j.Close()
 	rt := newStudyRuntime(t, 1)
 	defer rt.Shutdown()
+	var calls atomic.Int32
 	obj := &FuncObjective{ObjName: "x", Fn: func(ObjectiveContext) (TrialMetrics, error) {
+		calls.Add(1)
 		return TrialMetrics{}, nil
 	}}
 	st, _ := NewStudy(StudyOptions{
 		Sampler: NewGridSearch(tinySpace(t)), Objective: obj, Runtime: rt,
-		Constraint: runtime.Constraint{Cores: 1}, CheckpointPath: ckpt,
+		Constraint: runtime.Constraint{Cores: 1}, Recorder: j.Recorder("missing", ""),
 	})
-	if _, err := st.Run(); err == nil {
-		t.Fatal("expected error for corrupt checkpoint")
+	if _, err := st.Run(); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("Run = %v, want ErrNotFound from the recorder", err)
 	}
-}
-
-func TestCheckpointVersionCheck(t *testing.T) {
-	if _, err := store.DecodeCheckpoint([]byte(`{"version": 99, "trials": []}`)); err == nil {
-		t.Fatal("expected version error")
+	if calls.Load() != 0 {
+		t.Fatalf("objective ran %d times after a failed load", calls.Load())
 	}
 }

@@ -95,7 +95,7 @@ func (s *Study) loadCheckpoint() (map[string]TrialResult, error) {
 
 // recordRound persists one round of finished results through the Recorder.
 // Recorders dedup already-persisted trials, so passing resumed copies is
-// harmless (and keeps file checkpoints complete).
+// harmless.
 func (s *Study) recordRound(round []TrialResult) error {
 	if s.recorder == nil {
 		return nil

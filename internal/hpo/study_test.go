@@ -322,3 +322,54 @@ func TestStudyGridMatchesPaperTaskCount(t *testing.T) {
 		t.Fatalf("trials=%d completed=%d, want 27 (paper §5)", len(res.Trials), stats.Completed)
 	}
 }
+
+func TestOnEpochWiredIntoStudy(t *testing.T) {
+	var mu sync.Mutex
+	best := map[int]float64{}
+	space := tinySpace(t)
+	rt := newStudyRuntime(t, 2)
+	obj := &MLObjective{Dataset: datasets.MNISTLike(100, 6), Hidden: []int{8}}
+	st, err := NewStudy(StudyOptions{
+		Sampler: NewRandomSearch(space, 2, 1), Objective: obj, Runtime: rt,
+		Constraint: runtime.Constraint{Cores: 1},
+		OnEpoch: func(trial, epoch int, acc float64) {
+			mu.Lock()
+			defer mu.Unlock()
+			if acc > best[trial] {
+				best[trial] = acc
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rt.Shutdown()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(best) != 2 || best[0] == 0 || best[1] == 0 {
+		t.Fatalf("OnEpoch saw best accuracies %v, want 2 trials above 0", best)
+	}
+}
+
+func TestMLObjectiveCNNModel(t *testing.T) {
+	obj := &MLObjective{Dataset: datasets.MNISTLike(120, 9), Hidden: []int{8}}
+	m, err := obj.Run(ObjectiveContext{
+		Config: Config{"model": "cnn", "filters": 2, "num_epochs": 2, "batch_size": 24, "optimizer": "Adam"},
+		Seed:   9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Epochs != 2 || m.FinalAcc <= 0.1 {
+		t.Fatalf("CNN objective metrics = %+v", m)
+	}
+	if _, err := obj.Run(ObjectiveContext{
+		Config: Config{"model": "transformer", "num_epochs": 1, "batch_size": 8},
+		Seed:   9,
+	}); err == nil {
+		t.Fatal("expected error for unknown model kind")
+	}
+}

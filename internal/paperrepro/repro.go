@@ -1,5 +1,5 @@
 // Package paperrepro regenerates every table and figure of the paper's
-// evaluation (§5-§6) plus the ablations called out in DESIGN.md. Each
+// evaluation (§5-§6) plus four ablations (A1-A4, ablations.go). Each
 // Figure*/Ablation* function runs the corresponding experiment end-to-end —
 // node-scale runs on the discrete-event simulator with the calibrated cost
 // model, training-accuracy runs with real training on the goroutine backend

@@ -42,11 +42,9 @@ type Job struct {
 	name string
 	done chan struct{}
 
-	mu       sync.Mutex
-	state    JobState
-	err      error
-	started  time.Time
-	finished time.Time
+	mu    sync.Mutex
+	state JobState
+	err   error
 }
 
 // Name returns the job's identifier (unique within its pool).
@@ -77,40 +75,21 @@ func (j *Job) Err() error {
 	return j.err
 }
 
-// Runtime returns how long the job has been (or was) running; zero while
-// still queued.
-func (j *Job) Runtime() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.started.IsZero() {
-		return 0
-	}
-	if j.finished.IsZero() {
-		return time.Since(j.started)
-	}
-	return j.finished.Sub(j.started)
-}
-
-// Pool runs jobs on a bounded number of workers: at most `limit` jobs
-// execute concurrently, the rest wait in FIFO submission order. It is the
-// control plane's study executor — each job typically owns one Runtime for
-// the duration of a study.
+// Pool runs each submitted job on its own goroutine and tracks it by name.
+// It is the control plane's study executor — each job typically owns one
+// Runtime for the duration of a study. The pool does not bound
+// concurrency: jobs that must share capacity wait inside fn (the server's
+// admission queue).
 type Pool struct {
-	sem    chan struct{}
 	mu     sync.Mutex
 	jobs   map[string]*Job
-	order  []string
 	closed bool
 	wg     sync.WaitGroup
 }
 
-// NewPool builds a pool executing at most limit jobs concurrently
-// (minimum 1).
-func NewPool(limit int) *Pool {
-	if limit < 1 {
-		limit = 1
-	}
-	return &Pool{sem: make(chan struct{}, limit), jobs: make(map[string]*Job)}
+// NewPool builds an empty pool.
+func NewPool() *Pool {
+	return &Pool{jobs: make(map[string]*Job)}
 }
 
 // Submit queues fn under name and returns its handle immediately.
@@ -129,25 +108,18 @@ func (p *Pool) Submit(name string, fn func() error) (*Job, error) {
 		}
 	}
 	j := &Job{name: name, done: make(chan struct{})}
-	if _, ok := p.jobs[name]; !ok {
-		p.order = append(p.order, name)
-	}
 	p.jobs[name] = j
 	p.wg.Add(1)
 	p.mu.Unlock()
 
 	go func() {
 		defer p.wg.Done()
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
 		j.mu.Lock()
 		j.state = JobRunning
-		j.started = time.Now()
 		j.mu.Unlock()
 		err := fn()
 		j.mu.Lock()
 		j.err = err
-		j.finished = time.Now()
 		if err != nil {
 			j.state = JobFailed
 		} else {
@@ -165,17 +137,6 @@ func (p *Pool) Job(name string) (*Job, bool) {
 	defer p.mu.Unlock()
 	j, ok := p.jobs[name]
 	return j, ok
-}
-
-// Jobs returns all handles in first-submission order.
-func (p *Pool) Jobs() []*Job {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*Job, 0, len(p.order))
-	for _, name := range p.order {
-		out = append(out, p.jobs[name])
-	}
-	return out
 }
 
 // Close rejects further submissions. Already-queued jobs still run; use

@@ -2,47 +2,12 @@ package runtime
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestPoolBoundsConcurrency(t *testing.T) {
-	p := NewPool(2)
-	var running, peak atomic.Int32
-	gate := make(chan struct{})
-	for i := 0; i < 6; i++ {
-		_, err := p.Submit(string(rune('a'+i)), func() error {
-			n := running.Add(1)
-			for {
-				old := peak.Load()
-				if n <= old || peak.CompareAndSwap(old, n) {
-					break
-				}
-			}
-			<-gate
-			running.Add(-1)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(50 * time.Millisecond)
-	close(gate)
-	if !p.Drain(5 * time.Second) {
-		t.Fatal("pool did not drain")
-	}
-	if got := peak.Load(); got > 2 {
-		t.Fatalf("concurrency peak %d exceeds limit 2", got)
-	}
-	if len(p.Jobs()) != 6 {
-		t.Fatalf("jobs tracked = %d", len(p.Jobs()))
-	}
-}
-
 func TestJobLifecycleAndErrors(t *testing.T) {
-	p := NewPool(1)
+	p := NewPool()
 	boom := errors.New("boom")
 	j, err := p.Submit("fails", func() error { return boom })
 	if err != nil {
@@ -53,9 +18,6 @@ func TestJobLifecycleAndErrors(t *testing.T) {
 	}
 	if j.State() != JobFailed || j.State().String() != "failed" {
 		t.Fatalf("state = %v", j.State())
-	}
-	if j.Runtime() <= 0 {
-		t.Fatal("runtime not recorded")
 	}
 
 	ok, _ := p.Submit("succeeds", func() error { return nil })
@@ -79,7 +41,7 @@ func TestJobLifecycleAndErrors(t *testing.T) {
 }
 
 func TestPoolSubmitIdempotentWhileLive(t *testing.T) {
-	p := NewPool(1)
+	p := NewPool()
 	gate := make(chan struct{})
 	j1, _ := p.Submit("s", func() error { <-gate; return nil })
 	j2, _ := p.Submit("s", func() error { t.Error("second fn must not run"); return nil })
@@ -93,7 +55,7 @@ func TestPoolSubmitIdempotentWhileLive(t *testing.T) {
 }
 
 func TestPoolClose(t *testing.T) {
-	p := NewPool(1)
+	p := NewPool()
 	p.Close()
 	if _, err := p.Submit("x", func() error { return nil }); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("submit after close: %v", err)

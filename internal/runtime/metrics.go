@@ -25,6 +25,4 @@ var (
 	obsExtendLatency = obs.Default().Histogram("hpo_runtime_extend_grant_latency_seconds",
 		"Wall-clock latency of delivering a budget-extension grant to a running task.",
 		obs.DurationBuckets())
-	obsExtendLastLatency = obs.Default().Gauge("hpo_runtime_extend_grant_last_latency_seconds",
-		"Latency of the most recent budget-extension grant — the alerting-grade spot value next to the latency histogram.")
 )

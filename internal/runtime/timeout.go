@@ -21,21 +21,6 @@ func (e *errTimeout) Error() string {
 	return fmt.Sprintf("runtime: task %d attempt %d exceeded its %v timeout", e.taskID, e.attempt, e.limit)
 }
 
-// IsTimeout reports whether err (possibly wrapped) is a task timeout.
-func IsTimeout(err error) bool {
-	for err != nil {
-		if _, ok := err.(*errTimeout); ok {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
 // launchWithTimeout wraps a Real-backend execution with the definition's
 // timeout. The task function keeps running (goroutines cannot be killed),
 // but its slot is released and the attempt is treated as failed; a stray

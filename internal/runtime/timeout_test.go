@@ -23,7 +23,8 @@ func TestTimeoutFailsHungTaskReal(t *testing.T) {
 	f, _ := rt.Submit1("hang")
 	start := time.Now()
 	_, err := rt.WaitOn(f)
-	if err == nil || !IsTimeout(err) {
+	var te *errTimeout
+	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want timeout", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -90,7 +91,8 @@ func TestTimeoutSimBackend(t *testing.T) {
 	})
 	f, _ := rt.Submit1("slow")
 	_, err := rt.WaitOn(f)
-	if err == nil || !IsTimeout(err) {
+	var te *errTimeout
+	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want timeout", err)
 	}
 	// Virtual time advanced only to the timeout, not the full duration.
@@ -109,29 +111,3 @@ func TestTimeoutSimWithinLimit(t *testing.T) {
 	}
 	rt.Shutdown()
 }
-
-func TestIsTimeoutUnwraps(t *testing.T) {
-	base := &errTimeout{taskID: 1, limit: time.Second}
-	wrapped := errors.Join(errors.New("outer"), base)
-	_ = wrapped
-	// fmt-wrapped chain (what onDone produces).
-	chain := wrapErr(base)
-	if !IsTimeout(chain) {
-		t.Fatal("IsTimeout should see through wrapping")
-	}
-	if IsTimeout(errors.New("other")) {
-		t.Fatal("false positive")
-	}
-	if IsTimeout(nil) {
-		t.Fatal("nil should not be a timeout")
-	}
-}
-
-func wrapErr(err error) error {
-	return &wrapper{err}
-}
-
-type wrapper struct{ inner error }
-
-func (w *wrapper) Error() string { return "wrapped: " + w.inner.Error() }
-func (w *wrapper) Unwrap() error { return w.inner }

@@ -60,14 +60,14 @@ type Runner struct {
 }
 
 // NewRunner builds a runner executing at most maxConcurrent studies at
-// once. Concurrency is enforced by the admission queue, not the worker
-// pool: every submitted study gets a goroutine immediately, but blocks in
+// once. Concurrency is enforced by the admission queue, not the job pool:
+// every submitted study gets a goroutine immediately, but blocks in
 // AdmissionQueue.Await until the queue grants it one of maxConcurrent
-// slots — that is what makes weighted fair-share ordering (instead of
-// pool FIFO) decide who runs next under contention.
+// slots — that is what makes weighted fair-share ordering decide who runs
+// next under contention.
 func NewRunner(st *store.Journal, factory RuntimeFactory, maxConcurrent int) *Runner {
 	return &Runner{
-		store: st, pool: runtime.NewPool(1 << 20),
+		store: st, pool: runtime.NewPool(),
 		adm: hpo.NewAdmissionQueue(maxConcurrent), factory: factory,
 		active:    make(map[string]*hpo.Study),
 		cancelReq: make(map[string]bool),

@@ -149,3 +149,14 @@ func TestPromoteReplayOutOfOrder(t *testing.T) {
 	defer j2.Close()
 	check(j2)
 }
+
+func TestFingerprintSkipsInternalKeys(t *testing.T) {
+	a := Fingerprint(map[string]interface{}{"lr": 0.1, "_bracket": 3})
+	b := Fingerprint(map[string]interface{}{"lr": 0.1})
+	if a != b {
+		t.Fatalf("underscore keys must not affect identity: %q vs %q", a, b)
+	}
+	if a != "lr=0.1" {
+		t.Fatalf("fingerprint format changed: %q", a)
+	}
+}

@@ -200,13 +200,13 @@ type Journal struct {
 }
 
 // OpenJournal opens (or creates) the sharded journal directory at path and
-// replays it into memory. A legacy single-file journal at path is migrated
-// to the sharded layout first (the original bytes are preserved inside the
-// directory as legacy.jsonl.bak). The store is flock'd exclusively — a
-// second process opening the same journal gets ErrLocked rather than
-// silently interleaving writes. A partially written final record in a
-// study's active segment — the signature of a crash mid append — is
-// detected and truncated away; corruption anywhere else returns ErrCorrupt.
+// replays it into memory. A regular file at path is refused untouched: the
+// pre-shard single-file format is no longer read. The store is flock'd
+// exclusively — a second process opening the same journal gets ErrLocked
+// rather than silently interleaving writes. A partially written final
+// record in a study's active segment — the signature of a crash mid append
+// — is detected and truncated away; corruption anywhere else returns
+// ErrCorrupt.
 func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	j := &Journal{
 		dir:        path,
@@ -228,18 +228,13 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	}
 	fi, err := os.Stat(path)
 	switch {
-	case err == nil && fi.IsDir():
-		// Already sharded.
-	case err == nil:
-		// Legacy single-file journal: migrate in place.
-		if err := migrateLegacyJournal(path, opts.NoSync); err != nil {
-			return nil, err
-		}
+	case err == nil && !fi.IsDir():
+		return nil, fmt.Errorf("store: journal %s is a regular file: the pre-shard single-file format is no longer read", path)
 	case os.IsNotExist(err):
-		if err := adoptOrInitDir(path, opts.NoSync); err != nil {
-			return nil, err
+		if err := os.MkdirAll(filepath.Join(path, studiesDirName), 0o755); err != nil {
+			return nil, fmt.Errorf("store: creating journal dir: %w", err)
 		}
-	default:
+	case err != nil:
 		return nil, fmt.Errorf("store: stat journal: %w", err)
 	}
 	lf, err := os.OpenFile(filepath.Join(path, lockName), os.O_CREATE|os.O_WRONLY, 0o644)
@@ -299,31 +294,6 @@ func resolveMaxOpen(n int) int {
 		return 0
 	}
 	return n
-}
-
-// adoptOrInitDir handles Open on a path that does not exist: either a
-// migration crashed between its two directory renames (the fully built
-// ".migrating" staging dir exists — adopt it), or this is a fresh journal.
-func adoptOrInitDir(path string, noSync bool) error {
-	staging := path + migratingSuffix
-	_, ok, err := readManifest(staging)
-	if err != nil {
-		// The staging dir exists but its manifest is damaged or from an
-		// unknown version: it may hold the only copy of migrated data
-		// (including the legacy backup), so surface the problem instead of
-		// silently booting an empty journal over it.
-		return fmt.Errorf("interrupted migration at %s unreadable: %w", staging, err)
-	}
-	if ok {
-		if err := os.Rename(staging, path); err != nil {
-			return fmt.Errorf("store: adopting interrupted migration: %w", err)
-		}
-		return syncDir(filepath.Dir(path), noSync)
-	}
-	if err := os.MkdirAll(filepath.Join(path, studiesDirName), 0o755); err != nil {
-		return fmt.Errorf("store: creating journal dir: %w", err)
-	}
-	return nil
 }
 
 // replay loads every manifest-listed segment into the index. Per study,

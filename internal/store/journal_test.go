@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -360,7 +361,7 @@ func TestJournalRecorderResumeIsScoped(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("cross-scope load leaked %d trials (%v)", len(got), err)
 	}
-	// Scope-less legacy trials (checkpoint migrations) resume everywhere.
+	// Scope-less trials (written before trials were scoped) resume everywhere.
 	legacy := mkTrial(9, 6, 0.4)
 	if err := j.AppendTrials("cli", []Trial{legacy}); err != nil {
 		t.Fatal(err)
@@ -368,6 +369,29 @@ func TestJournalRecorderResumeIsScoped(t *testing.T) {
 	got, _ = j.Recorder("cli", cifar).Load()
 	if len(got) != 1 || got[0].ID != 9 {
 		t.Fatalf("legacy trial dropped: %v", got)
+	}
+}
+
+// TestOpenJournalRejectsRegularFile: a regular file at the journal path
+// (the pre-shard single-file format) is refused with an error naming the
+// path, and its bytes are left as they were.
+func TestOpenJournalRejectsRegularFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hpod.journal")
+	old := []byte(`{"seq":1,"type":"study","study_id":"a","study":{"id":"a"}}` + "\n")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, JournalOptions{NoSync: true})
+	if err == nil {
+		j.Close()
+		t.Fatal("opened a regular file as a journal")
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "pre-shard") {
+		t.Fatalf("error does not name the path and format: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("file changed: %q, %v", got, err)
 	}
 }
 

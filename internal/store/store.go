@@ -5,11 +5,9 @@
 // in-memory index rebuilt on Open. Terminal studies are compactable down
 // to their summary records (Compact), so a long-lived daemon's boot-replay
 // time scales with live studies rather than total history; the on-disk
-// format is specified normatively in docs/JOURNAL.md. The package also
-// subsumes the legacy single-study checkpoint file format (FileRecorder)
-// so hpo.Study checkpointing goes through one narrow Recorder interface
-// regardless of backing storage, and it transparently migrates pre-shard
-// single-file journals to the directory layout on Open.
+// format is specified normatively in docs/JOURNAL.md. hpo.Study persists
+// and resumes through the narrow Recorder interface, which
+// Journal.Recorder implements for one study.
 //
 // The Journal additionally indexes every successful trial by its config
 // fingerprint, so identical configurations — within a study or across
@@ -110,9 +108,8 @@ type Summary struct {
 	Epochs   int `json:",omitempty"`
 }
 
-// Trial is the storage form of one finished trial — the same shape the
-// legacy checkpoint file used, plus the config fingerprint that keys
-// memoization.
+// Trial is the storage form of one finished trial, including the config
+// fingerprint that keys memoization.
 type Trial struct {
 	ID          int                    `json:"id"`
 	Config      map[string]interface{} `json:"config"`
@@ -162,9 +159,8 @@ func (t Trial) Succeeded() bool { return t.Err == "" && !t.Canceled && !t.Pruned
 // NaN loss must journal as a bad result, not kill the study with an
 // encoding error), and sampler-internal config keys are stripped — every
 // append path runs through here, so hidden scheduler bookkeeping can
-// never reach disk even via legacy-checkpoint migration. The history is
-// copied before rewriting — the caller's slice must not change underneath
-// it.
+// never reach disk. The history is copied before rewriting — the caller's
+// slice must not change underneath it.
 func (t Trial) sanitize() Trial {
 	for k := range t.Config {
 		if strings.HasPrefix(k, "_") {
