@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -55,6 +56,25 @@ func TestCompareBaselineBadFile(t *testing.T) {
 	base := writeBaseline(t, `not json`)
 	if err := compareBaseline(base, snapshot{}, 25); err == nil {
 		t.Fatal("unparseable baseline must error")
+	}
+}
+
+func TestCompareBaselineRefusesOtherHost(t *testing.T) {
+	cur := host{NumCPU: 2, GOMAXPROCS: 2, GOARCH: "amd64", CPUModel: "Xeon", AVXKernel: true}
+	for name, body := range map[string]string{
+		"no fingerprint": `{"epochs_per_sec": 100, "journal_appends_per_sec": 1000}`,
+		"other cpus":     `{"epochs_per_sec": 100, "journal_appends_per_sec": 1000, "host": {"num_cpu": 4, "gomaxprocs": 4, "goarch": "amd64", "cpu_model": "Xeon", "avx_kernel": true}}`,
+		"go kernel":      `{"epochs_per_sec": 100, "journal_appends_per_sec": 1000, "host": {"num_cpu": 2, "gomaxprocs": 2, "goarch": "amd64", "cpu_model": "Xeon", "avx_kernel": false}}`,
+	} {
+		// A faster snapshot still must not pass against a foreign baseline.
+		err := compareBaseline(writeBaseline(t, body), snapshot{Host: cur, EpochsPerSec: 500, JournalAppendsPerSec: 5000}, 25)
+		if !errors.Is(err, errHostMismatch) {
+			t.Fatalf("%s: err = %v, want errHostMismatch", name, err)
+		}
+	}
+	same := `{"epochs_per_sec": 100, "journal_appends_per_sec": 1000, "host": {"num_cpu": 2, "gomaxprocs": 2, "goarch": "amd64", "cpu_model": "Xeon", "avx_kernel": true}}`
+	if err := compareBaseline(writeBaseline(t, same), snapshot{Host: cur, EpochsPerSec: 90, JournalAppendsPerSec: 1000}, 25); err != nil {
+		t.Fatalf("same host within the limit must pass: %v", err)
 	}
 }
 

@@ -16,9 +16,13 @@
 // Throughput measures (epochs_per_sec, journal_appends_per_sec) take the
 // best of -best runs (default 3): on shared CI boxes the max is far more
 // stable than a single sample, because interference only ever slows a run
-// down. With -baseline pointing at a committed BENCH_*.json, the command
-// exits non-zero when either throughput regresses more than -max-regress
-// percent — the CI regression gate.
+// down. Every snapshot records the host it was measured on (CPU count,
+// GOMAXPROCS, GOARCH, CPU model, and whether the AVX GEMM kernel ran).
+// With -baseline pointing at another snapshot, the command exits 1 when
+// either throughput regresses more than -max-regress percent, and exits 2
+// without comparing when the baseline's host differs or is not recorded:
+// numbers from different machines say nothing about the code. CI runs it
+// as a same-runner A/B, the merge-base's benchjson against HEAD's.
 //
 // Usage:
 //
@@ -27,12 +31,15 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	goruntime "runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,11 +53,75 @@ import (
 type snapshot struct {
 	Stamp                string             `json:"stamp"`
 	GoVersion            string             `json:"go_version"`
+	Host                 host               `json:"host"`
 	EpochsPerSec         float64            `json:"epochs_per_sec"`
 	JournalAppendsPerSec float64            `json:"journal_appends_per_sec"`
 	BootReplayNsOp       map[string]int64   `json:"boot_replay_ns_op"`
 	MatMulGFLOPS         map[string]float64 `json:"matmul_gflops"`
 	Conv2D               convStats          `json:"conv2d"`
+}
+
+// host identifies the machine and kernel a snapshot was measured with.
+// Throughputs are comparable only between equal hosts.
+type host struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOARCH     string `json:"goarch"`
+	CPUModel   string `json:"cpu_model"`
+	AVXKernel  bool   `json:"avx_kernel"`
+}
+
+func thisHost() host {
+	return host{
+		NumCPU:     goruntime.NumCPU(),
+		GOMAXPROCS: goruntime.GOMAXPROCS(0),
+		GOARCH:     goruntime.GOARCH,
+		CPUModel:   cpuModel(),
+		AVXKernel:  tensor.AVXKernel(),
+	}
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
+// errHostMismatch marks a baseline measured on another host, or on an
+// unrecorded one; main exits 2 on it.
+var errHostMismatch = errors.New("baseline host differs")
+
+// sameHost returns an error wrapping errHostMismatch that names every field
+// on which the baseline's host differs from this snapshot's.
+func sameHost(path string, base, cur host) error {
+	if base == cur {
+		return nil
+	}
+	if base == (host{}) {
+		return fmt.Errorf("%w: %s records no host fingerprint; measure a baseline on this host", errHostMismatch, path)
+	}
+	var diffs []string
+	add := func(field string, x, y interface{}) {
+		if x != y {
+			diffs = append(diffs, fmt.Sprintf("%s %v vs %v", field, x, y))
+		}
+	}
+	add("num_cpu", base.NumCPU, cur.NumCPU)
+	add("gomaxprocs", base.GOMAXPROCS, cur.GOMAXPROCS)
+	add("goarch", base.GOARCH, cur.GOARCH)
+	add("cpu_model", base.CPUModel, cur.CPUModel)
+	add("avx_kernel", base.AVXKernel, cur.AVXKernel)
+	return fmt.Errorf("%w: %s was measured elsewhere (%s); refusing to compare", errHostMismatch, path, strings.Join(diffs, "; "))
 }
 
 // convStats records the Conv2D hot-path cost: time and steady-state
@@ -80,6 +151,7 @@ func main() {
 	snap := snapshot{
 		Stamp:          stamp,
 		GoVersion:      goruntime.Version(),
+		Host:           thisHost(),
 		BootReplayNsOp: map[string]int64{},
 		MatMulGFLOPS:   map[string]float64{},
 	}
@@ -127,6 +199,10 @@ func main() {
 
 	if baseline != "" {
 		if err := compareBaseline(baseline, snap, maxRegress); err != nil {
+			if errors.Is(err, errHostMismatch) {
+				fmt.Fprintln(os.Stderr, "benchjson:", err)
+				os.Exit(2)
+			}
 			fatal(err)
 		}
 	}
@@ -150,8 +226,9 @@ func bestOf(n int, fn func() (float64, error)) (float64, error) {
 	return bestVal, nil
 }
 
-// compareBaseline fails (returns an error) when a throughput measure in snap
-// falls more than maxRegress percent below the baseline snapshot. Only
+// compareBaseline fails (returns an error) when the baseline snapshot was
+// measured on a different host than snap (errHostMismatch), or when a
+// throughput measure in snap falls more than maxRegress percent below it. Only
 // throughputs gate: the ns/op measures are informational because testing
 // .Benchmark's auto-scaling makes single-digit-iteration numbers too noisy
 // to gate on a shared box.
@@ -163,6 +240,9 @@ func compareBaseline(path string, snap snapshot, maxRegress float64) error {
 	var base snapshot
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parse baseline %s: %w", path, err)
+	}
+	if err := sameHost(path, base.Host, snap.Host); err != nil {
+		return err
 	}
 	check := func(name string, baseV, newV float64) error {
 		if baseV <= 0 {

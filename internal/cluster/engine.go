@@ -22,9 +22,6 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Pending returns the number of scheduled, not-yet-delivered events.
-func (e *Engine) Pending() int { return len(e.pq) }
-
 // At schedules fn to run at absolute virtual time t (>= Now).
 func (e *Engine) At(t time.Duration, fn func()) {
 	if t < e.now {

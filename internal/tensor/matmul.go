@@ -3,20 +3,21 @@ package tensor
 import "fmt"
 
 // The GEMM kernels below share one structure: the output is walked in
-// mr×nr register tiles (the accumulators live in registers for the whole
-// k-extent of a panel), the k dimension is cut into kcBlock panels so the
-// streamed operand stays cache-resident, and the parallel driver splits the
-// output rows into tile-aligned panels across goroutines. gemmParallel only
-// fans out when the problem is large enough to amortise goroutine startup
-// (see parallelCutover); tiny matrices always run serially on the caller's
+// mr×nr tiles whose accumulators stay live for the whole k-extent of a
+// panel, the k dimension is cut into kcBlock panels so the streamed operand
+// stays cache-resident, and the parallel driver splits the output rows into
+// tile-aligned panels across goroutines. gemmParallel only fans out when the
+// problem is large enough to amortise goroutine startup (see
+// parallelCutover); tiny matrices always run serially on the caller's
 // goroutine.
 const (
-	// mrTile×nrTile is the register tile: 16 independent accumulator
-	// chains per inner iteration, loading 4+4 operand values.
+	// mrTile×nrTile is the micro-kernel tile gemm hands to kern4x8: on AVX
+	// it is eight 4-wide vector accumulators, each a[i,p] broadcast once
+	// and each b row loaded as two vectors per p.
 	mrTile = 4
-	nrTile = 4
-	// kcBlock is the k-panel length; a 4-column stripe of b over one panel
-	// is kcBlock×nrTile×8 bytes = 8 KiB, comfortably L1-resident.
+	nrTile = 8
+	// kcBlock is the k-panel length; an 8-column stripe of b over one panel
+	// is kcBlock×nrTile×8 bytes = 16 KiB, L1-resident.
 	kcBlock = 256
 	// parallelCutover is the minimum multiply-add count (m·n·k) before
 	// MatMulParallel and friends spawn goroutines. Below it the fork/join
@@ -59,7 +60,7 @@ func MatMulInto(dst, a, b *Tensor, units int) *Tensor {
 	}
 	ad, bd, od := a.data, b.data, dst.data
 	gemmParallel(m, k, n, units, func(lo, hi int) {
-		gemmNN(ad, bd, od, k, n, lo, hi)
+		gemm(ad, bd, od, k, 1, k, n, lo, hi)
 	})
 	return dst
 }
@@ -86,7 +87,7 @@ func MatMulTransAInto(dst, a, b *Tensor, units int) *Tensor {
 	}
 	ad, bd, od := a.data, b.data, dst.data
 	gemmParallel(m, k, n, units, func(lo, hi int) {
-		gemmTA(ad, bd, od, k, m, n, lo, hi)
+		gemm(ad, bd, od, 1, m, k, n, lo, hi)
 	})
 	return dst
 }
@@ -113,6 +114,12 @@ func MatMulTransBInto(dst, a, b *Tensor, units int) *Tensor {
 	})
 	return dst
 }
+
+// AVXKernel reports whether MatMul*, MatMulInto and MatMulTransA* run
+// their 4×8 tiles on the AVX assembly micro-kernel (amd64 CPUs with AVX)
+// rather than the portable Go one. Results are bit-identical either way;
+// only the speed differs.
+func AVXKernel() bool { return useAVX }
 
 func mmShape(a, b *Tensor) (m, k, n int) {
 	if a.Rank() != 2 || b.Rank() != 2 {
@@ -188,89 +195,36 @@ func gemmParallel(m, k, n, units int, kernel func(lo, hi int)) {
 	}
 }
 
-// gemmNN computes out[lo:hi, :] = a[lo:hi, :]×b for row-major a (·×k),
-// b (k×n) and out (·×n). The inner kernel keeps a 4×4 accumulator tile in
-// registers across a k-panel; the first panel stores (overwriting whatever
-// dst held) and subsequent panels accumulate.
-func gemmNN(a, b, out []float64, k, n, lo, hi int) {
+// gemm computes out[lo:hi, :] = A[lo:hi, :]×b for a k×n row-major b and an
+// m×n out, where A is read through strides: A[i,p] = a[i·ars + p·aps]. The
+// plain product passes (ars, aps) = (k, 1); the transposed-a product aᵀ×b
+// passes (1, m), so neither orientation copies a.
+//
+// Every output element sums its products in ascending p, one multiply and
+// one add at a time, which is what keeps the AVX and Go micro-kernels (and
+// the scalar edge loops) bit-identical. Full 4×8 tiles go to kern4x8; the
+// n%8 columns and the m%4 rows fall back to scalar loops. The first k-panel
+// stores (overwriting whatever out held); later panels add their partial
+// sums, except in the m%4 rows, which add each product to out directly.
+func gemm(a, b, out []float64, ars, aps, k, n, lo, hi int) {
 	for kb := 0; kb < k; kb += kcBlock {
-		kEnd := kb + kcBlock
-		if kEnd > k {
-			kEnd = k
-		}
+		kEnd := min(kb+kcBlock, k)
 		first := kb == 0
 		i := lo
 		for ; i+mrTile <= hi; i += mrTile {
-			a0 := a[(i+0)*k : (i+0)*k+k]
-			a1 := a[(i+1)*k : (i+1)*k+k]
-			a2 := a[(i+2)*k : (i+2)*k+k]
-			a3 := a[(i+3)*k : (i+3)*k+k]
 			j := 0
 			for ; j+nrTile <= n; j += nrTile {
-				var c00, c01, c02, c03 float64
-				var c10, c11, c12, c13 float64
-				var c20, c21, c22, c23 float64
-				var c30, c31, c32, c33 float64
-				for p := kb; p < kEnd; p++ {
-					br := b[p*n+j : p*n+j+nrTile]
-					b0, b1, b2, b3 := br[0], br[1], br[2], br[3]
-					av := a0[p]
-					c00 += av * b0
-					c01 += av * b1
-					c02 += av * b2
-					c03 += av * b3
-					av = a1[p]
-					c10 += av * b0
-					c11 += av * b1
-					c12 += av * b2
-					c13 += av * b3
-					av = a2[p]
-					c20 += av * b0
-					c21 += av * b1
-					c22 += av * b2
-					c23 += av * b3
-					av = a3[p]
-					c30 += av * b0
-					c31 += av * b1
-					c32 += av * b2
-					c33 += av * b3
-				}
-				o0 := out[(i+0)*n+j : (i+0)*n+j+nrTile]
-				o1 := out[(i+1)*n+j : (i+1)*n+j+nrTile]
-				o2 := out[(i+2)*n+j : (i+2)*n+j+nrTile]
-				o3 := out[(i+3)*n+j : (i+3)*n+j+nrTile]
-				if first {
-					o0[0], o0[1], o0[2], o0[3] = c00, c01, c02, c03
-					o1[0], o1[1], o1[2], o1[3] = c10, c11, c12, c13
-					o2[0], o2[1], o2[2], o2[3] = c20, c21, c22, c23
-					o3[0], o3[1], o3[2], o3[3] = c30, c31, c32, c33
-				} else {
-					o0[0] += c00
-					o0[1] += c01
-					o0[2] += c02
-					o0[3] += c03
-					o1[0] += c10
-					o1[1] += c11
-					o1[2] += c12
-					o1[3] += c13
-					o2[0] += c20
-					o2[1] += c21
-					o2[2] += c22
-					o2[3] += c23
-					o3[0] += c30
-					o3[1] += c31
-					o3[2] += c32
-					o3[3] += c33
-				}
+				kern4x8(a[i*ars+kb*aps:], ars, aps, b[kb*n+j:], n, kEnd-kb, out[i*n+j:], first)
 			}
 			for ; j < n; j++ {
 				var s0, s1, s2, s3 float64
 				for p := kb; p < kEnd; p++ {
 					bv := b[p*n+j]
-					s0 += a0[p] * bv
-					s1 += a1[p] * bv
-					s2 += a2[p] * bv
-					s3 += a3[p] * bv
+					ap := a[i*ars+p*aps:]
+					s0 += float64(ap[0] * bv)
+					s1 += float64(ap[ars] * bv)
+					s2 += float64(ap[2*ars] * bv)
+					s3 += float64(ap[3*ars] * bv)
 				}
 				if first {
 					out[(i+0)*n+j] = s0
@@ -286,129 +240,86 @@ func gemmNN(a, b, out []float64, k, n, lo, hi int) {
 			}
 		}
 		for ; i < hi; i++ {
-			arow := a[i*k : i*k+k]
 			orow := out[i*n : i*n+n]
 			if first {
-				for j := range orow {
-					orow[j] = 0
-				}
+				clear(orow)
 			}
 			for p := kb; p < kEnd; p++ {
-				av := arow[p]
+				av := a[i*ars+p*aps]
 				brow := b[p*n : p*n+n]
 				for j, bv := range brow {
-					orow[j] += av * bv
+					orow[j] += float64(av * bv)
 				}
 			}
 		}
 	}
 }
 
-// gemmTA computes out[lo:hi, :] = (aᵀ×b)[lo:hi, :] for a (k×m), b (k×n) and
-// out (m×n), reading both operands along their natural row-major layout —
-// a[p·m+i…] and b[p·n+j…] are contiguous — so no transpose copy is needed.
-func gemmTA(a, b, out []float64, k, m, n, lo, hi int) {
-	for kb := 0; kb < k; kb += kcBlock {
-		kEnd := kb + kcBlock
-		if kEnd > k {
-			kEnd = k
+// kern4x8Go is the portable 4×8 micro-kernel and the reference the AVX
+// kernel is tested against. Over kc steps of p it forms
+// C[r][c] = Σ A[r,p]·b[p·n+c] with A[r,p] = a[r·ars + p·aps], then stores C
+// into c[r·n+c] when first is set and adds it otherwise. It walks the tile
+// as two 4×4 halves so each half's 16 accumulators fit the register file as
+// nearly as Go allows. The float64 conversions keep every product rounded
+// on its own: Go may otherwise fuse a multiply-add into an FMA on some
+// targets, and the AVX kernel never does.
+func kern4x8Go(a []float64, ars, aps int, b []float64, n, kc int, c []float64, first bool) {
+	for h := 0; h < nrTile; h += 4 {
+		var c00, c01, c02, c03 float64
+		var c10, c11, c12, c13 float64
+		var c20, c21, c22, c23 float64
+		var c30, c31, c32, c33 float64
+		for p := 0; p < kc; p++ {
+			ap := a[p*aps:]
+			br := b[p*n+h : p*n+h+4]
+			b0, b1, b2, b3 := br[0], br[1], br[2], br[3]
+			av := ap[0]
+			c00 += float64(av * b0)
+			c01 += float64(av * b1)
+			c02 += float64(av * b2)
+			c03 += float64(av * b3)
+			av = ap[ars]
+			c10 += float64(av * b0)
+			c11 += float64(av * b1)
+			c12 += float64(av * b2)
+			c13 += float64(av * b3)
+			av = ap[2*ars]
+			c20 += float64(av * b0)
+			c21 += float64(av * b1)
+			c22 += float64(av * b2)
+			c23 += float64(av * b3)
+			av = ap[3*ars]
+			c30 += float64(av * b0)
+			c31 += float64(av * b1)
+			c32 += float64(av * b2)
+			c33 += float64(av * b3)
 		}
-		first := kb == 0
-		i := lo
-		for ; i+mrTile <= hi; i += mrTile {
-			j := 0
-			for ; j+nrTile <= n; j += nrTile {
-				var c00, c01, c02, c03 float64
-				var c10, c11, c12, c13 float64
-				var c20, c21, c22, c23 float64
-				var c30, c31, c32, c33 float64
-				for p := kb; p < kEnd; p++ {
-					ar := a[p*m+i : p*m+i+mrTile]
-					br := b[p*n+j : p*n+j+nrTile]
-					a0, a1, a2, a3 := ar[0], ar[1], ar[2], ar[3]
-					b0, b1, b2, b3 := br[0], br[1], br[2], br[3]
-					c00 += a0 * b0
-					c01 += a0 * b1
-					c02 += a0 * b2
-					c03 += a0 * b3
-					c10 += a1 * b0
-					c11 += a1 * b1
-					c12 += a1 * b2
-					c13 += a1 * b3
-					c20 += a2 * b0
-					c21 += a2 * b1
-					c22 += a2 * b2
-					c23 += a2 * b3
-					c30 += a3 * b0
-					c31 += a3 * b1
-					c32 += a3 * b2
-					c33 += a3 * b3
-				}
-				o0 := out[(i+0)*n+j : (i+0)*n+j+nrTile]
-				o1 := out[(i+1)*n+j : (i+1)*n+j+nrTile]
-				o2 := out[(i+2)*n+j : (i+2)*n+j+nrTile]
-				o3 := out[(i+3)*n+j : (i+3)*n+j+nrTile]
-				if first {
-					o0[0], o0[1], o0[2], o0[3] = c00, c01, c02, c03
-					o1[0], o1[1], o1[2], o1[3] = c10, c11, c12, c13
-					o2[0], o2[1], o2[2], o2[3] = c20, c21, c22, c23
-					o3[0], o3[1], o3[2], o3[3] = c30, c31, c32, c33
-				} else {
-					o0[0] += c00
-					o0[1] += c01
-					o0[2] += c02
-					o0[3] += c03
-					o1[0] += c10
-					o1[1] += c11
-					o1[2] += c12
-					o1[3] += c13
-					o2[0] += c20
-					o2[1] += c21
-					o2[2] += c22
-					o2[3] += c23
-					o3[0] += c30
-					o3[1] += c31
-					o3[2] += c32
-					o3[3] += c33
-				}
-			}
-			for ; j < n; j++ {
-				var s0, s1, s2, s3 float64
-				for p := kb; p < kEnd; p++ {
-					bv := b[p*n+j]
-					ar := a[p*m+i : p*m+i+mrTile]
-					s0 += ar[0] * bv
-					s1 += ar[1] * bv
-					s2 += ar[2] * bv
-					s3 += ar[3] * bv
-				}
-				if first {
-					out[(i+0)*n+j] = s0
-					out[(i+1)*n+j] = s1
-					out[(i+2)*n+j] = s2
-					out[(i+3)*n+j] = s3
-				} else {
-					out[(i+0)*n+j] += s0
-					out[(i+1)*n+j] += s1
-					out[(i+2)*n+j] += s2
-					out[(i+3)*n+j] += s3
-				}
-			}
-		}
-		for ; i < hi; i++ {
-			orow := out[i*n : i*n+n]
-			if first {
-				for j := range orow {
-					orow[j] = 0
-				}
-			}
-			for p := kb; p < kEnd; p++ {
-				av := a[p*m+i]
-				brow := b[p*n : p*n+n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
+		o0 := c[0*n+h : 0*n+h+4]
+		o1 := c[1*n+h : 1*n+h+4]
+		o2 := c[2*n+h : 2*n+h+4]
+		o3 := c[3*n+h : 3*n+h+4]
+		if first {
+			o0[0], o0[1], o0[2], o0[3] = c00, c01, c02, c03
+			o1[0], o1[1], o1[2], o1[3] = c10, c11, c12, c13
+			o2[0], o2[1], o2[2], o2[3] = c20, c21, c22, c23
+			o3[0], o3[1], o3[2], o3[3] = c30, c31, c32, c33
+		} else {
+			o0[0] += c00
+			o0[1] += c01
+			o0[2] += c02
+			o0[3] += c03
+			o1[0] += c10
+			o1[1] += c11
+			o1[2] += c12
+			o1[3] += c13
+			o2[0] += c20
+			o2[1] += c21
+			o2[2] += c22
+			o2[3] += c23
+			o3[0] += c30
+			o3[1] += c31
+			o3[2] += c32
+			o3[3] += c33
 		}
 	}
 }
@@ -425,7 +336,7 @@ func gemmTB(a, b, out []float64, k, n, lo, hi int) {
 		a2 := a[(i+2)*k : (i+2)*k+k]
 		a3 := a[(i+3)*k : (i+3)*k+k]
 		j := 0
-		for ; j+nrTile <= n; j += nrTile {
+		for ; j+4 <= n; j += 4 {
 			b0 := b[(j+0)*k : (j+0)*k+k]
 			b1 := b[(j+1)*k : (j+1)*k+k]
 			b2 := b[(j+2)*k : (j+2)*k+k]

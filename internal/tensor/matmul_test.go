@@ -202,6 +202,42 @@ func TestMatMulVariantsMatchReference(t *testing.T) {
 	}
 }
 
+// TestAVXKernelBitIdenticalToGo runs MatMulInto and MatMulTransAInto on
+// the AVX micro-kernel and on the Go one and requires every element to be
+// equal with ==: the edge shapes, k past one and two kcBlock panels (panel
+// accumulation), n%8 and m%4 remainders, several unit counts, and dirty
+// destinations.
+func TestAVXKernelBitIdenticalToGo(t *testing.T) {
+	if !useAVX {
+		t.Skip("CPU has no AVX: only the Go kernel runs here")
+	}
+	shapes := append([][3]int{
+		{8, 513, 8}, {5, 600, 17}, {4, 300, 12}, {9, 10, 19},
+		{12, 257, 9}, {32, 784, 64}, {19, 33, 31},
+	}, edgeShapes...)
+	r := NewRNG(5)
+	for _, sh := range shapes {
+		m, k, n := sh[0], sh[1], sh[2]
+		a := Randn(r, m, k)
+		at := a.Transpose()
+		b := Randn(r, k, n)
+		for _, units := range []int{1, 3, 8} {
+			products := func(avx bool) (nn, ta *Tensor) {
+				defer SetAVXKernel(avx)()
+				return MatMulInto(Full(42, m, n), a, b, units), MatMulTransAInto(Full(-7, m, n), at, b, units)
+			}
+			goNN, goTA := products(false)
+			avxNN, avxTA := products(true)
+			for i := range goNN.data {
+				if goNN.data[i] != avxNN.data[i] || goTA.data[i] != avxTA.data[i] {
+					t.Fatalf("%v units=%d element %d: Go NN %v TA %v, AVX NN %v TA %v", sh, units, i,
+						goNN.data[i], goTA.data[i], avxNN.data[i], avxTA.data[i])
+				}
+			}
+		}
+	}
+}
+
 // Property: random shapes (biased to tile remainders) and unit counts agree
 // with the reference for all variants.
 func TestMatMulVariantsProperty(t *testing.T) {
@@ -239,16 +275,35 @@ func TestMatMulTransShapeMismatchPanics(t *testing.T) {
 }
 
 func benchGFLOPS(b *testing.B, size int, fn func(x, y *Tensor)) {
+	benchShapeGFLOPS(b, [2]int{size, size}, [2]int{size, size}, size*size*size, fn)
+}
+
+// benchShapeGFLOPS times fn on random operands of shapes xs and ys and
+// reports GFLOP/s for a product of mulAdds multiply-adds.
+func benchShapeGFLOPS(b *testing.B, xs, ys [2]int, mulAdds int, fn func(x, y *Tensor)) {
 	r := NewRNG(1)
-	x := Randn(r, size, size)
-	y := Randn(r, size, size)
+	x := Randn(r, xs[0], xs[1])
+	y := Randn(r, ys[0], ys[1])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fn(x, y)
 	}
-	flops := 2 * float64(size) * float64(size) * float64(size)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	b.ReportMetric(2*float64(mulAdds)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkDenseForward and BenchmarkDenseWeightGrad time the two products
+// that dominate a grid-search trial: the 784→64 Dense layer's forward pass
+// (32×784 batch × 784×64 weights) and its weight gradient (dW = xᵀ·grad,
+// 784×32 × 32×64), each at batch 32 on one unit.
+func BenchmarkDenseForward(b *testing.B) {
+	dst := New(32, 64)
+	benchShapeGFLOPS(b, [2]int{32, 784}, [2]int{784, 64}, 32*784*64, func(x, w *Tensor) { MatMulInto(dst, x, w, 1) })
+}
+
+func BenchmarkDenseWeightGrad(b *testing.B) {
+	dst := New(784, 64)
+	benchShapeGFLOPS(b, [2]int{32, 784}, [2]int{32, 64}, 784*32*64, func(x, g *Tensor) { MatMulTransAInto(dst, x, g, 1) })
 }
 
 // BenchmarkMatMulNaive pins the pre-tiling reference kernel so the speedup
